@@ -1021,12 +1021,8 @@ fn fleet_obs_experiment(
         let (k0, k1) = gen(&params, slot);
         let mut answers = Vec::new();
         for key in [&k0, &k1] {
-            let span = TraceSpan::root("fleet.client.request");
-            answers.push(
-                fanout
-                    .answer_traced(key, Some(&span.ctx()))
-                    .expect("fan-out answer"),
-            );
+            let _span = TraceSpan::root("fleet.client.request");
+            answers.push(fanout.answer(key).expect("fan-out answer"));
         }
         assert_eq!(
             &TwoServerClient::combine(&answers[0], &answers[1]).unwrap(),

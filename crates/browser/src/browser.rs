@@ -12,7 +12,7 @@
 use crate::lwscript::{parse_script, LwScript, ScriptError};
 use crate::storage::LocalStorage;
 use lightweb_core::{SessionStats, TwoServerZltp, ZltpError};
-use lightweb_telemetry::trace::{TraceContext, TraceSpan};
+use lightweb_telemetry::trace::TraceSpan;
 use lightweb_universe::access::ClientAccessPass;
 use lightweb_universe::blob::{continuation_path, decode_blob, BlobError};
 use rand::Rng;
@@ -194,16 +194,13 @@ impl<S: Read + Write> LightwebBrowser<S> {
     /// leak).
     pub fn browse_cover(&mut self) -> Result<(), BrowserError> {
         let _page = lightweb_telemetry::span!("browser.page.ns");
-        let page_span = TraceSpan::root("browser.page");
-        let page_ctx = page_span.ctx();
+        let _page_span = TraceSpan::root("browser.page");
         lightweb_telemetry::counter!("browser.page.cover").inc();
         let mut rng = rand::thread_rng();
         let domain_size = 1u64 << self.data_session_params_bits();
         for _ in 0..self.fetches_per_page {
             let slot = rng.gen_range(0..domain_size);
-            let _ = self
-                .data_session
-                .private_get_slot_traced(slot, Some(&page_ctx))?;
+            let _ = self.data_session.private_get_slot(slot)?;
             lightweb_telemetry::counter!("browser.fetch.dummy").inc();
         }
         self.visits.push(PageVisit {
@@ -218,9 +215,9 @@ impl<S: Read + Write> LightwebBrowser<S> {
     pub fn browse(&mut self, path: &str) -> Result<RenderedPage, BrowserError> {
         let _page = lightweb_telemetry::span!("browser.page.ns");
         // One trace per page view: every code/data/dummy GET below hangs
-        // off this root, so a trace tree shows the page's full fan-out.
-        let page_span = TraceSpan::root("browser.page");
-        let page_ctx = page_span.ctx();
+        // off this root (the current context until the page returns), so
+        // a trace tree shows the page's full fan-out.
+        let _page_span = TraceSpan::root("browser.page");
         lightweb_telemetry::counter!("browser.page.real").inc();
         let domain = path
             .split('/')
@@ -236,9 +233,7 @@ impl<S: Read + Write> LightwebBrowser<S> {
         if !self.code_cache.contains_key(&domain) {
             code_fetches = 1;
             lightweb_telemetry::counter!("browser.fetch.code").inc();
-            let blob = self
-                .code_session
-                .private_get_traced(&domain, Some(&page_ctx))?;
+            let blob = self.code_session.private_get(&domain)?;
             let (_, payload) = decode_blob(&blob)?;
             if payload.is_empty() {
                 return Err(BrowserError::NoCode(domain.clone()));
@@ -268,7 +263,7 @@ impl<S: Read + Write> LightwebBrowser<S> {
         let mut data_fetches = 0usize;
         let mut payloads: Vec<Option<String>> = Vec::with_capacity(plan.fetches.len());
         for fetch_path in &plan.fetches {
-            let value = self.fetch_chain(fetch_path, &mut data_fetches, &page_ctx)?;
+            let value = self.fetch_chain(fetch_path, &mut data_fetches)?;
             let value = match (&value, self.passes.get(&domain)) {
                 (Some(v), Some(pass)) => Some(
                     pass.open(fetch_path, v)
@@ -293,9 +288,7 @@ impl<S: Read + Write> LightwebBrowser<S> {
         let domain_size = 1u64 << self.data_session_params_bits();
         while data_fetches < self.fetches_per_page {
             let slot = rng.gen_range(0..domain_size);
-            let _ = self
-                .data_session
-                .private_get_slot_traced(slot, Some(&page_ctx))?;
+            let _ = self.data_session.private_get_slot(slot)?;
             data_fetches += 1;
             lightweb_telemetry::counter!("browser.fetch.dummy").inc();
         }
@@ -329,7 +322,6 @@ impl<S: Read + Write> LightwebBrowser<S> {
         &mut self,
         path: &str,
         fetch_count: &mut usize,
-        page_ctx: &TraceContext,
     ) -> Result<Option<Vec<u8>>, BrowserError> {
         let mut assembled = Vec::new();
         for part in 0..self.max_chain_parts {
@@ -338,9 +330,7 @@ impl<S: Read + Write> LightwebBrowser<S> {
             } else {
                 continuation_path(path, part)
             };
-            let blob = self
-                .data_session
-                .private_get_traced(&part_path, Some(page_ctx))?;
+            let blob = self.data_session.private_get(&part_path)?;
             *fetch_count += 1;
             let (header, payload) = decode_blob(&blob)?;
             if part == 0 && header.payload_len == 0 && !header.has_next {

@@ -23,7 +23,7 @@ use lightweb_crypto::SipHash24;
 use lightweb_dpf::DpfParams;
 use lightweb_pir::lwe::{LweClient, LweParams};
 use lightweb_pir::{KeywordMap, TwoServerClient};
-use lightweb_telemetry::trace::{TraceContext, TraceSpan};
+use lightweb_telemetry::trace::TraceSpan;
 use std::io::{Read, Write};
 
 /// Per-session traffic counters.
@@ -145,24 +145,13 @@ impl<S: Read + Write> ZltpSession<S> {
     }
 
     /// Issue one raw GET and wait for its response.
+    ///
+    /// A `zltp.client.transport` span covers send→receive (a child of the
+    /// current trace context, otherwise the root of a fresh trace), and
+    /// its context travels to the server as the frame's trace extension
+    /// so server-side spans land in the same trace tree.
     pub fn get_raw(&mut self, payload: Vec<u8>) -> Result<Vec<u8>, ZltpError> {
-        self.get_raw_traced(payload, None)
-    }
-
-    /// [`ZltpSession::get_raw`] with causal tracing: a
-    /// `zltp.client.transport` span covers send→receive (a child of
-    /// `parent` when given, otherwise the root of a fresh trace), and its
-    /// context travels to the server as the frame's trace extension so
-    /// server-side spans land in the same trace tree.
-    pub fn get_raw_traced(
-        &mut self,
-        payload: Vec<u8>,
-        parent: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, ZltpError> {
-        let span = match parent {
-            Some(p) => TraceSpan::child(p, "zltp.client.transport"),
-            None => TraceSpan::root("zltp.client.transport"),
-        };
+        let span = TraceSpan::child_or_root("zltp.client.transport");
         let request_id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);
         self.conn.send_traced(
@@ -276,49 +265,24 @@ impl<S: Read + Write> TwoServerZltp<S> {
     /// a published all-zero blob; the lightweb blob encoding layers a
     /// length prefix on top precisely so this case is recognizable).
     pub fn private_get(&mut self, key: &str) -> Result<Vec<u8>, ZltpError> {
-        self.private_get_traced(key, None)
-    }
-
-    /// [`TwoServerZltp::private_get`] under an existing trace context
-    /// (e.g. the browser's per-page span).
-    pub fn private_get_traced(
-        &mut self,
-        key: &str,
-        parent: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, ZltpError> {
         let slot = self.s0.keyword_map().slot(key.as_bytes());
-        self.private_get_slot_traced(slot, parent)
+        self.private_get_slot(slot)
     }
 
     /// Private-GET by raw slot. Also used for dummy (cover) queries: a
     /// fetch of a uniformly random slot is indistinguishable from a real
     /// one — the lightweb browser relies on this for its fixed per-page
     /// fetch count (§3.2).
+    ///
+    /// One `zltp.client.request` span covers the whole logical GET — both
+    /// server hops, each a `zltp.client.transport` child — under the
+    /// current trace context (e.g. the browser's per-page span), or as
+    /// the root of a fresh trace.
     pub fn private_get_slot(&mut self, slot: u64) -> Result<Vec<u8>, ZltpError> {
-        self.private_get_slot_traced(slot, None)
-    }
-
-    /// [`TwoServerZltp::private_get_slot`] with causal tracing: one
-    /// `zltp.client.request` span covers the whole logical GET — both
-    /// server hops, each a `zltp.client.transport` child — rooted fresh
-    /// unless `parent` chains it under a larger operation.
-    pub fn private_get_slot_traced(
-        &mut self,
-        slot: u64,
-        parent: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, ZltpError> {
-        let span = match parent {
-            Some(p) => TraceSpan::child(p, "zltp.client.request"),
-            None => TraceSpan::root("zltp.client.request"),
-        };
-        let ctx = span.ctx();
+        let _span = TraceSpan::child_or_root("zltp.client.request");
         let query = self.pir.query_slot(slot);
-        let a0 = self
-            .s0
-            .get_raw_traced(query.key0.to_bytes().to_vec(), Some(&ctx))?;
-        let a1 = self
-            .s1
-            .get_raw_traced(query.key1.to_bytes().to_vec(), Some(&ctx))?;
+        let a0 = self.s0.get_raw(query.key0.to_bytes().to_vec())?;
+        let a1 = self.s1.get_raw(query.key1.to_bytes().to_vec())?;
         if a0.len() != self.blob_len() || a1.len() != self.blob_len() {
             return Err(ZltpError::Wire("answer has wrong blob size".into()));
         }
@@ -407,14 +371,14 @@ impl<S: Read + Write> LweClientSession<S> {
         if self.manifest.is_empty() {
             return Ok(None);
         }
-        let span = TraceSpan::root("zltp.client.request");
+        let _span = TraceSpan::child_or_root("zltp.client.request");
         let index = found.unwrap_or(0);
         let query = self.lwe.query(index);
         let mut payload = Vec::with_capacity(query.payload.len() * 4);
         for v in &query.payload {
             payload.extend_from_slice(&v.to_be_bytes());
         }
-        let raw = self.session.get_raw_traced(payload, Some(&span.ctx()))?;
+        let raw = self.session.get_raw(payload)?;
         if raw.len() % 4 != 0 {
             return Err(ZltpError::Wire("LWE answer not a u32 vector".into()));
         }
@@ -465,7 +429,7 @@ impl<S: Read + Write> EnclaveClient<S> {
     /// Private-GET by keyword. Returns `None` for unpublished keys; the
     /// enclave performs the same ORAM work either way.
     pub fn private_get(&mut self, key: &str) -> Result<Option<Vec<u8>>, ZltpError> {
-        let span = TraceSpan::root("zltp.client.request");
+        let _span = TraceSpan::child_or_root("zltp.client.request");
         let mut nonce = [0u8; AEAD_NONCE_LEN];
         lightweb_crypto::fill_random(&mut nonce);
         let sealed = self
@@ -475,7 +439,7 @@ impl<S: Read + Write> EnclaveClient<S> {
         payload.extend_from_slice(&nonce);
         payload.extend_from_slice(&sealed);
 
-        let raw = self.session.get_raw_traced(payload, Some(&span.ctx()))?;
+        let raw = self.session.get_raw(payload)?;
         if raw.len() < AEAD_NONCE_LEN {
             return Err(ZltpError::Wire("sealed response too short".into()));
         }

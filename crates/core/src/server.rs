@@ -24,7 +24,7 @@
 
 use crate::config::{Mode, ModeSet, ServerConfig};
 use crate::error::ZltpError;
-use crate::transport::{mem_pair, tune_zltp_socket, FramedConn, MemDuplex};
+use crate::transport::{mem_pair, spawn_accept_loop, FramedConn, MemDuplex};
 use crate::wire::{Message, PROTOCOL_VERSION};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use lightweb_engine::{
@@ -32,7 +32,7 @@ use lightweb_engine::{
     TwoServerDpfEngine,
 };
 use lightweb_pir::KeywordMap;
-use lightweb_telemetry::trace::{maybe_child, record_span, record_span_ctx, TraceContext};
+use lightweb_telemetry::trace::{self, record_span, record_span_ctx, TraceContext, TraceSpan};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -645,7 +645,7 @@ impl ZltpServer {
             return Submitted::Dispatched;
         };
         let query = {
-            let _prepare = maybe_child(span_ctx.as_ref(), "zltp.server.prepare");
+            let _prepare = span_ctx.map(|c| TraceSpan::child(&c, "zltp.server.prepare"));
             match engine.prepare(payload) {
                 Ok(q) => q,
                 Err(e) => {
@@ -671,10 +671,11 @@ impl ZltpServer {
         }
         let server = self.clone();
         Submitted::Work(Box::new(move || {
+            // Whichever thread runs the work answers under this request's
+            // context, and only for as long as the work runs.
+            let _ctx = trace::enter(span_ctx);
             let result = match server.inner.engine_for(mode) {
-                Some(engine) => engine
-                    .answer(&query, span_ctx.as_ref())
-                    .map_err(|e| e.to_string()),
+                Some(engine) => engine.answer(&query).map_err(|e| e.to_string()),
                 None => Err(format!("mode {mode:?} not materialized")),
             };
             finish(result);
@@ -773,41 +774,19 @@ impl ZltpServer {
         listener: std::net::TcpListener,
     ) -> std::io::Result<std::thread::JoinHandle<()>> {
         let server = self.clone();
-        listener.set_nonblocking(true)?;
-        std::thread::Builder::new()
-            .name("zltp-accept".into())
-            .spawn(move || loop {
-                if server.inner.shutdown.load(Ordering::SeqCst) {
-                    return;
+        let watched = self.clone();
+        spawn_accept_loop(
+            listener,
+            "zltp",
+            "server-accept",
+            move || watched.is_shutting_down(),
+            log_session_error,
+            move |stream| {
+                if let Err(e) = server.handle_connection(stream) {
+                    log_session_error("tcp-session", &e.to_string());
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        tune_zltp_socket(&stream, "server-accept");
-                        let s = server.clone();
-                        let spawned =
-                            std::thread::Builder::new()
-                                .name("zltp-conn".into())
-                                .spawn(move || {
-                                    if let Err(e) = s.handle_connection(stream) {
-                                        log_session_error("tcp-session", &e.to_string());
-                                    }
-                                });
-                        if let Err(e) = spawned {
-                            // Out of threads: drop the stream (the peer sees
-                            // a reset) instead of taking down the acceptor.
-                            log_session_error("spawn-connection", &e.to_string());
-                        }
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        log_session_error("accept", &e.to_string());
-                        return;
-                    }
-                }
-            })
+            },
+        )
     }
 }
 

@@ -22,11 +22,12 @@
 
 use crate::error::ZltpError;
 use crate::server::error_code;
-use crate::transport::{tune_zltp_socket, FramedConn};
+use crate::transport::{spawn_accept_loop, tune_zltp_socket, FramedConn};
 use crate::wire::Message;
 use lightweb_dpf::{DpfKey, DpfParams, ShardKey, TreeNode};
 use lightweb_engine::DataShard;
 use lightweb_store::record::{get_bytes, put_bytes};
+use lightweb_telemetry::trace::{self, TraceContext};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,36 +96,20 @@ impl ShardNetServer {
     /// blocking thread per connection is the right shape here — the
     /// 10k-session reactor problem lives on the client-facing side.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<std::thread::JoinHandle<()>> {
-        listener.set_nonblocking(true)?;
         let inner = self.inner.clone();
-        std::thread::Builder::new()
-            .name("shardnet-accept".into())
-            .spawn(move || loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
+        let watched = self.inner.clone();
+        spawn_accept_loop(
+            listener,
+            "shardnet",
+            "shard-accept",
+            move || watched.shutdown.load(Ordering::SeqCst),
+            |_stage, err| log_shardnet_error(err),
+            move |stream| {
+                if let Err(e) = serve_front_end(&inner, stream) {
+                    log_shardnet_error(&e.to_string());
                 }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        tune_zltp_socket(&stream, "shard-accept");
-                        let inner = inner.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("shardnet-conn".into())
-                            .spawn(move || {
-                                if let Err(e) = serve_front_end(&inner, stream) {
-                                    log_shardnet_error(&e.to_string());
-                                }
-                            });
-                        if let Err(e) = spawned {
-                            log_shardnet_error(&e.to_string());
-                        }
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => return,
-                }
-            })
+            },
+        )
     }
 }
 
@@ -155,10 +140,8 @@ fn serve_front_end(inner: &ShardNetInner, stream: TcpStream) -> Result<(), ZltpE
                 let _t = lightweb_telemetry::span!("zltp.shardnet.answer.ns");
                 let reply = decode_shard_request(&payload)
                     .and_then(|(key, node)| {
-                        inner
-                            .shard
-                            .answer_traced(&key, &node, span_ctx.as_ref())
-                            .map_err(|e| e.to_string())
+                        let _ctx = trace::enter(span_ctx);
+                        inner.shard.answer(&key, &node).map_err(|e| e.to_string())
                     })
                     .map(|partial| Message::GetResponse {
                         request_id,
@@ -175,7 +158,7 @@ fn serve_front_end(inner: &ShardNetInner, stream: TcpStream) -> Result<(), ZltpE
                 // front end sees the answer (and anyone scrapes on the
                 // strength of it), this span is already in the ring.
                 if let Some(ctx) = &span_ctx {
-                    lightweb_telemetry::trace::record_span_ctx(
+                    trace::record_span_ctx(
                         ctx,
                         "zltp.shardnet.answer",
                         start,
@@ -273,27 +256,21 @@ impl ShardFanout {
     /// Requests go out on every link before any response is awaited, so
     /// the shards scan their slices concurrently; wall-clock stays at
     /// one shard's latency plus the fan-out round trip.
+    ///
+    /// Under a current trace context, each shard hop gets a pre-minted
+    /// `zltp.shardnet.rpc` child that rides the wire as the 0x80 trace
+    /// frame extension, so the shard server's spans join this trace under
+    /// the client's 128-bit trace id. The hop span itself is recorded
+    /// here (send-to-receive wall time) once the shard's partial answer
+    /// arrives.
     pub fn answer(&mut self, key: &DpfKey) -> Result<Vec<u8>, ZltpError> {
-        self.answer_traced(key, None)
-    }
-
-    /// [`ShardFanout::answer`] with causal tracing: each shard hop gets
-    /// a pre-minted `zltp.shardnet.rpc` child of `ctx` that rides the
-    /// wire as the 0x80 trace frame extension, so the shard server's
-    /// spans join this trace under the client's 128-bit trace id. The
-    /// hop span itself is recorded here (send-to-receive wall time) once
-    /// the shard's partial answer arrives.
-    pub fn answer_traced(
-        &mut self,
-        key: &DpfKey,
-        ctx: Option<&lightweb_telemetry::trace::TraceContext>,
-    ) -> Result<Vec<u8>, ZltpError> {
         if key.params() != self.params {
             return Err(ZltpError::Wire("DPF parameters mismatch".into()));
         }
+        let ctx = trace::current();
         let _t = lightweb_telemetry::span!("zltp.shardnet.fanout.ns");
         let (nodes, shard_key) = {
-            let _fe = lightweb_telemetry::trace::maybe_child(ctx, "zltp.shard.front_end");
+            let _fe = trace::maybe_child("zltp.shard.front_end");
             let _fe_ns = lightweb_telemetry::span!("zltp.shard.front_end.ns");
             (
                 key.eval_prefix(self.prefix_bits),
@@ -305,7 +282,7 @@ impl ShardFanout {
         self.next_request_id = self.next_request_id.wrapping_add(1);
         // All requests go out before any response is awaited (the shards
         // scan concurrently), so every hop's span opens at its own send.
-        let mut hops: Vec<Option<(lightweb_telemetry::trace::TraceContext, std::time::Instant)>> =
+        let mut hops: Vec<Option<(TraceContext, std::time::Instant)>> =
             Vec::with_capacity(self.links.len());
         for (link, node) in self.links.iter_mut().zip(nodes.iter()) {
             let hop_ctx = ctx.map(|c| c.child());
@@ -322,7 +299,7 @@ impl ShardFanout {
         for (j, link) in self.links.iter_mut().enumerate() {
             let reply = link.recv()?;
             if let Some((hop_ctx, sent_at)) = hops[j].take() {
-                lightweb_telemetry::trace::record_span_ctx(
+                trace::record_span_ctx(
                     &hop_ctx,
                     "zltp.shardnet.rpc",
                     sent_at,
@@ -599,7 +576,10 @@ mod tests {
 
         let root = lightweb_telemetry::trace::TraceContext::root();
         let (k0, _) = gen(&params, es[0].0);
-        fanout.answer_traced(&k0, Some(&root)).unwrap();
+        {
+            let _ctx = trace::enter(Some(root));
+            fanout.answer(&k0).unwrap();
+        }
 
         let (spans, _) = lightweb_telemetry::trace::collector().recent_spans();
         let ours: Vec<_> = spans

@@ -146,6 +146,53 @@ pub fn tune_zltp_socket(stream: &std::net::TcpStream, who: &'static str) {
     }
 }
 
+/// The blocking TCP front door shared by the ZLTP and shard servers:
+/// accept on a nonblocking listener, polling `shutdown` between accepts
+/// (a 5 ms sleep when none is pending), tune each accepted socket
+/// (labelled `who`), and serve it on a thread of its own. Threads are
+/// named `{name}-accept` and `{name}-conn`. Spawn and accept failures go
+/// to `log` as `(stage, error)`; an accept error ends the loop.
+pub(crate) fn spawn_accept_loop(
+    listener: std::net::TcpListener,
+    name: &str,
+    who: &'static str,
+    shutdown: impl Fn() -> bool + Send + 'static,
+    log: fn(&str, &str),
+    serve: impl Fn(std::net::TcpStream) + Clone + Send + 'static,
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let conn_name = format!("{name}-conn");
+    std::thread::Builder::new()
+        .name(format!("{name}-accept"))
+        .spawn(move || loop {
+            if shutdown() {
+                return;
+            }
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false).ok();
+                    tune_zltp_socket(&stream, who);
+                    let serve = serve.clone();
+                    let spawned = std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || serve(stream));
+                    if let Err(e) = spawned {
+                        // Out of threads: drop the stream (the peer sees
+                        // a reset) instead of taking down the acceptor.
+                        log("spawn-connection", &e.to_string());
+                    }
+                }
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                Err(e) => {
+                    log("accept", &e.to_string());
+                    return;
+                }
+            }
+        })
+}
+
 /// One end of an in-memory duplex byte stream.
 ///
 /// Writes are delivered as chunks to the peer's receive queue; reads pull

@@ -5,7 +5,7 @@ use crate::query::PreparedQuery;
 use crate::traits::QueryEngine;
 use lightweb_crypto::aead::{ChaCha20Poly1305, AEAD_NONCE_LEN};
 use lightweb_oram::SimulatedEnclave;
-use lightweb_telemetry::trace::{maybe_child, TraceContext};
+use lightweb_telemetry::trace::{self, TraceContext};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
 
@@ -101,7 +101,8 @@ impl QueryEngine for EnclaveOramEngine {
             .iter()
             .enumerate()
             .map(|(i, q)| {
-                let _span = maybe_child(ctxs.get(i).and_then(|c| c.as_ref()), "engine.oram.answer");
+                let _ctx = trace::enter(ctxs.get(i).copied().flatten());
+                let _span = trace::maybe_child("engine.oram.answer");
                 match q {
                     PreparedQuery::Keyword(kw) => self.answer_one(kw),
                     other => Err(EngineError::BadQuery(format!(

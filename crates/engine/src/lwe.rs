@@ -5,7 +5,7 @@ use crate::query::PreparedQuery;
 use crate::traits::{EngineSetup, QueryEngine};
 use lightweb_crypto::SipHash24;
 use lightweb_pir::lwe::{LweParams, LweServer};
-use lightweb_telemetry::trace::{maybe_child, TraceContext};
+use lightweb_telemetry::trace::{self, TraceContext};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,7 +93,8 @@ impl QueryEngine for SingleServerLweEngine {
             .iter()
             .enumerate()
             .map(|(i, q)| {
-                let _span = maybe_child(ctxs.get(i).and_then(|c| c.as_ref()), "engine.lwe.answer");
+                let _ctx = trace::enter(ctxs.get(i).copied().flatten());
+                let _span = trace::maybe_child("engine.lwe.answer");
                 let query = match q {
                     PreparedQuery::Lwe(v) => v,
                     other => {

@@ -16,7 +16,7 @@
 
 use lightweb_dpf::{BitMatrix, DpfKey};
 use lightweb_pir::{PirError, PirServer};
-use lightweb_telemetry::trace::{maybe_child, TraceContext};
+use lightweb_telemetry::trace;
 use std::ops::Range;
 
 /// Environment variable overriding the worker count when a config leaves
@@ -62,7 +62,8 @@ impl ScanPool {
     /// Split `0..n` into at most `threads` contiguous chunks and run `f`
     /// on each, in parallel when more than one chunk results. Results come
     /// back in range order. With one chunk (one thread, or tiny `n`) `f`
-    /// runs inline on the caller's thread.
+    /// runs inline on the caller's thread. Workers run under the caller's
+    /// current trace context.
     pub fn map_ranges<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -77,10 +78,16 @@ impl ScanPool {
             .map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n))
             .collect();
         let f = &f;
+        let ctx = trace::current();
         crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = ranges
                 .into_iter()
-                .map(|r| scope.spawn(move |_| f(r)))
+                .map(|r| {
+                    scope.spawn(move |_| {
+                        let _ctx = trace::enter(ctx);
+                        f(r)
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
@@ -94,16 +101,12 @@ impl ScanPool {
     /// prefix (exactly the §5.2 front-end split, applied across cores):
     /// each worker expands a run of sub-trees into its slice of the packed
     /// output. Falls back to the serial evaluation when the pool has one
-    /// thread or the domain is too small to split byte-aligned.
+    /// thread or the domain is too small to split byte-aligned. When the
+    /// caller is traced, each worker records an `engine.pool.partition`
+    /// span under the current context.
     pub fn eval_full(&self, key: &DpfKey) -> Vec<u8> {
-        self.eval_full_traced(key, None)
-    }
-
-    /// [`ScanPool::eval_full`] with per-partition trace spans
-    /// (`engine.pool.partition`) recorded as children of `ctx`.
-    pub fn eval_full_traced(&self, key: &DpfKey, ctx: Option<&TraceContext>) -> Vec<u8> {
         let mut out = vec![0u8; key.params().output_len()];
-        self.eval_full_into_traced(key, &mut out, ctx);
+        self.eval_full_into(key, &mut out);
         out
     }
 
@@ -111,7 +114,7 @@ impl ScanPool {
     /// [`BitMatrix`] row): workers write their sub-tree runs into disjoint
     /// slices of `out`, so the parallel path allocates nothing per call.
     /// `out` must be exactly `output_len()` bytes.
-    pub fn eval_full_into_traced(&self, key: &DpfKey, out: &mut [u8], ctx: Option<&TraceContext>) {
+    pub fn eval_full_into(&self, key: &DpfKey, out: &mut [u8]) {
         let _eval = lightweb_telemetry::span!("pir.eval.ns");
         let params = key.params();
         assert_eq!(
@@ -139,10 +142,12 @@ impl ScanPool {
         let workers = self.threads.min(nodes.len()).max(1);
         let chunk = nodes.len().div_ceil(workers);
         let shard_key = &shard_key;
+        let ctx = trace::current();
         crossbeam::thread::scope(|scope| {
             for (node_run, out_run) in nodes.chunks(chunk).zip(out.chunks_mut(chunk * sub_len)) {
                 scope.spawn(move |_| {
-                    let _part = maybe_child(ctx, "engine.pool.partition");
+                    let _ctx = trace::enter(ctx);
+                    let _part = trace::maybe_child("engine.pool.partition");
                     // Workers run on scoped threads with empty profile
                     // stacks, so an explicit scope is the only thing
                     // attributing their CPU when the request is untraced.
@@ -159,25 +164,15 @@ impl ScanPool {
 
     /// Parallel XOR scan: partition the record range, scan chunks on the
     /// pool, XOR-reduce the partial accumulators. Identical output to
-    /// [`PirServer::scan`].
+    /// [`PirServer::scan`]. Traced callers get an `engine.pool.partition`
+    /// span per chunk under the current context.
     pub fn scan(&self, server: &PirServer, bits: &[u8]) -> Result<Vec<u8>, PirError> {
-        self.scan_traced(server, bits, None)
-    }
-
-    /// [`ScanPool::scan`] with per-partition trace spans
-    /// (`engine.pool.partition`) recorded as children of `ctx`.
-    pub fn scan_traced(
-        &self,
-        server: &PirServer,
-        bits: &[u8],
-        ctx: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, PirError> {
         if bits.len() != server.params().output_len() {
             return Err(PirError::ParamsMismatch);
         }
         let _scan = lightweb_telemetry::span!("pir.scan.ns");
         let partials = self.map_ranges(server.len(), |range| {
-            let _part = maybe_child(ctx, "engine.pool.partition");
+            let _part = trace::maybe_child("engine.pool.partition");
             let _prof = lightweb_telemetry::profile::Scope::enter("engine.pool.scan.worker");
             server.scan_range(range, bits)
         });
@@ -190,24 +185,13 @@ impl ScanPool {
 
     /// Parallel batched scan (§5.1): one pass over the data per chunk
     /// answers every query, and per-query partials XOR-reduce across
-    /// chunks. Identical output to [`PirServer::scan_batch`].
+    /// chunks. Identical output to [`PirServer::scan_batch`]. The pass is
+    /// shared by the whole batch, so the current context (typically the
+    /// first traced query's scan span) parents every partition span.
     pub fn scan_batch(
         &self,
         server: &PirServer,
         bit_vecs: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, PirError> {
-        self.scan_batch_traced(server, bit_vecs, None)
-    }
-
-    /// [`ScanPool::scan_batch`] with per-partition trace spans
-    /// (`engine.pool.partition`) recorded as children of `ctx`. The scan
-    /// pass is shared by the whole batch, so one context (typically the
-    /// first traced query's scan span) parents every partition.
-    pub fn scan_batch_traced(
-        &self,
-        server: &PirServer,
-        bit_vecs: &[Vec<u8>],
-        ctx: Option<&TraceContext>,
     ) -> Result<Vec<Vec<u8>>, PirError> {
         if bit_vecs
             .iter()
@@ -217,7 +201,7 @@ impl ScanPool {
         }
         let _scan = lightweb_telemetry::span!("pir.scan.ns");
         let partials = self.map_ranges(server.len(), |range| {
-            let _part = maybe_child(ctx, "engine.pool.partition");
+            let _part = trace::maybe_child("engine.pool.partition");
             let _prof = lightweb_telemetry::profile::Scope::enter("engine.pool.scan.worker");
             server.scan_batch_range(range, bit_vecs)
         });
@@ -233,29 +217,19 @@ impl ScanPool {
     /// Parallel batched scan over a packed [`BitMatrix`] of evaluated
     /// queries — the allocation-free companion to [`ScanPool::scan_batch`]
     /// used by the batch answer path. Identical output to
-    /// [`PirServer::scan_matrix`].
+    /// [`PirServer::scan_matrix`], with partition spans as in
+    /// [`ScanPool::scan_batch`].
     pub fn scan_matrix(
         &self,
         server: &PirServer,
         matrix: &BitMatrix,
-    ) -> Result<Vec<Vec<u8>>, PirError> {
-        self.scan_matrix_traced(server, matrix, None)
-    }
-
-    /// [`ScanPool::scan_matrix`] with per-partition trace spans
-    /// (`engine.pool.partition`) recorded as children of `ctx`.
-    pub fn scan_matrix_traced(
-        &self,
-        server: &PirServer,
-        matrix: &BitMatrix,
-        ctx: Option<&TraceContext>,
     ) -> Result<Vec<Vec<u8>>, PirError> {
         if matrix.row_bytes() != server.params().output_len() {
             return Err(PirError::ParamsMismatch);
         }
         let _scan = lightweb_telemetry::span!("pir.scan.ns");
         let partials = self.map_ranges(server.len(), |range| {
-            let _part = maybe_child(ctx, "engine.pool.partition");
+            let _part = trace::maybe_child("engine.pool.partition");
             let _prof = lightweb_telemetry::profile::Scope::enter("engine.pool.scan.worker");
             server.scan_matrix_range(range, matrix)
         });
@@ -354,7 +328,7 @@ mod tests {
             let pool = ScanPool::new(threads);
             let mut matrix = BitMatrix::new(keys.len(), params.output_len());
             for (i, key) in keys.iter().enumerate() {
-                pool.eval_full_into_traced(key, matrix.row_mut(i), None);
+                pool.eval_full_into(key, matrix.row_mut(i));
             }
             for (i, key) in keys.iter().enumerate() {
                 assert_eq!(

@@ -15,15 +15,15 @@
 //! logic is the real prefix-evaluation split from `lightweb-dpf`, and the
 //! combination step XORs the shard answers exactly as the paper's front-end
 //! "combines the results". Shards can be driven sequentially (for clean
-//! per-shard cost measurements), on a thread per shard (for wall-clock
-//! latency), or across a [`ScanPool`](crate::ScanPool)'s workers (how the
+//! per-shard cost measurements) or across a [`ScanPool`]'s workers (for
+//! wall-clock latency; how the
 //! [`TwoServerDpfEngine`](crate::TwoServerDpfEngine) serves them).
 
 use crate::error::EngineError;
 use crate::pool::ScanPool;
 use lightweb_dpf::{DpfKey, DpfParams, ShardKey, TreeNode};
 use lightweb_pir::{PirError, PirServer};
-use lightweb_telemetry::trace::{maybe_child, TraceContext};
+use lightweb_telemetry::trace::maybe_child;
 use std::path::Path;
 
 /// The raw `(slot, record)` inputs a deployment is built from, as
@@ -209,64 +209,27 @@ impl ShardedDeployment {
         Ok((acc, stats))
     }
 
-    /// Answer one query with every shard on its own thread — the wall-clock
-    /// shape of the real deployment, where shards run on separate machines.
-    pub fn answer_parallel(&self, key: &DpfKey) -> Result<Vec<u8>, EngineError> {
-        let (nodes, shard_key) = self.front_end(key)?;
-        let mut acc = vec![0u8; self.record_len];
-        let partials: Vec<Vec<u8>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(nodes.iter())
-                .map(|(shard, node)| {
-                    let sk = &shard_key;
-                    scope.spawn(move |_| {
-                        let _answer = lightweb_telemetry::span!("zltp.shard.answer.ns");
-                        Self::shard_answer(shard, sk, node)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        })
-        .expect("shard scope");
-        let _combine = lightweb_telemetry::span!("zltp.shard.combine.ns");
-        for partial in partials {
-            lightweb_crypto::xor_in_place(&mut acc, &partial);
-        }
-        Ok(acc)
-    }
-
     /// Answer one query with the shards distributed across a
     /// [`ScanPool`]'s workers: contiguous runs of shards per worker rather
     /// than a thread per shard, so an in-process deployment with many
-    /// shards does not oversubscribe the machine. Identical output to
+    /// shards does not oversubscribe the machine; a pool at least as wide
+    /// as the shard count gives every shard its own thread, the wall-clock
+    /// shape of the real deployment. Identical output to
     /// [`ShardedDeployment::answer`].
+    ///
+    /// Traced callers see the §5.2 front-end→shard hop per request: the
+    /// front-end split records a `zltp.shard.front_end` child of the
+    /// current context, and every data-server shard its own
+    /// `zltp.shard.answer` child.
     pub fn answer_with_pool(&self, key: &DpfKey, pool: &ScanPool) -> Result<Vec<u8>, EngineError> {
-        self.answer_with_pool_traced(key, pool, None)
-    }
-
-    /// [`ShardedDeployment::answer_with_pool`] with trace spans: the
-    /// front-end split records a `zltp.shard.front_end` child of `ctx`,
-    /// and every data-server shard records its own `zltp.shard.answer`
-    /// child — the §5.2 front-end→shard hop made visible per request.
-    pub fn answer_with_pool_traced(
-        &self,
-        key: &DpfKey,
-        pool: &ScanPool,
-        ctx: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, EngineError> {
         let (nodes, shard_key) = {
-            let _fe_span = maybe_child(ctx, "zltp.shard.front_end");
+            let _fe_span = maybe_child("zltp.shard.front_end");
             self.front_end(key)?
         };
         let partials = pool.map_ranges(self.shards.len(), |range| {
             let mut acc = vec![0u8; self.record_len];
             for i in range {
-                let _answer_span = maybe_child(ctx, "zltp.shard.answer");
+                let _answer_span = maybe_child("zltp.shard.answer");
                 let _answer = lightweb_telemetry::span!("zltp.shard.answer.ns");
                 let partial = Self::shard_answer(&self.shards[i], &shard_key, &nodes[i]);
                 lightweb_crypto::xor_in_place(&mut acc, &partial);
@@ -399,27 +362,18 @@ impl DataShard {
     /// Finish one sub-tree evaluation and scan the slice — the remote
     /// mirror of [`ShardedDeployment::answer_shard`]. Rejects key
     /// material split with the wrong parameters or prefix depth.
+    ///
+    /// Records a `zltp.shard.answer` child of the current context, which
+    /// on a shardnet server is the context the front end shipped over the
+    /// wire — so the scan shows up, attributed to this shard's node, when
+    /// the fleet aggregator stitches the request's trace.
     pub fn answer(&self, shard_key: &ShardKey, node: &TreeNode) -> Result<Vec<u8>, EngineError> {
-        self.answer_traced(shard_key, node, None)
-    }
-
-    /// [`DataShard::answer`] with causal tracing: records a
-    /// `zltp.shard.answer` child of `ctx`, which on a shardnet server is
-    /// the trace context the front end shipped over the wire — so the
-    /// scan shows up, attributed to this shard's node, when the fleet
-    /// aggregator stitches the request's trace.
-    pub fn answer_traced(
-        &self,
-        shard_key: &ShardKey,
-        node: &TreeNode,
-        ctx: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, EngineError> {
         if shard_key.params() != self.params || shard_key.prefix_bits() != self.prefix_bits {
             return Err(EngineError::BadQuery(
                 "shard key parameters mismatch".into(),
             ));
         }
-        let _answer_span = maybe_child(ctx, "zltp.shard.answer");
+        let _answer_span = maybe_child("zltp.shard.answer");
         let _answer = lightweb_telemetry::span!("zltp.shard.answer.ns");
         Ok(ShardedDeployment::shard_answer(
             &self.shard,
@@ -493,7 +447,9 @@ mod tests {
         let dep = ShardedDeployment::from_entries(params, 3, 24, es.clone()).unwrap();
         let (k0, _) = gen(&params, es[3].0);
         let (seq, _) = dep.answer(&k0).unwrap();
-        let par = dep.answer_parallel(&k0).unwrap();
+        let par = dep
+            .answer_with_pool(&k0, &ScanPool::new(dep.shard_count()))
+            .unwrap();
         assert_eq!(seq, par);
         for threads in [1usize, 2, 4] {
             let pooled = dep.answer_with_pool(&k0, &ScanPool::new(threads)).unwrap();

@@ -2,7 +2,7 @@
 
 use crate::error::EngineError;
 use crate::query::PreparedQuery;
-use lightweb_telemetry::trace::TraceContext;
+use lightweb_telemetry::trace::{self, TraceContext};
 
 /// Offline setup material some engines publish to clients before the first
 /// query (today: the LWE manifest + hint downloaded once per database
@@ -38,14 +38,10 @@ pub trait QueryEngine: Send + Sync {
     /// with a batch of one so batching semantics live in exactly one place
     /// per engine.
     ///
-    /// `ctx` is the request's trace context, if the caller is tracing it;
-    /// engines record their per-phase child spans under it.
-    fn answer(
-        &self,
-        query: &PreparedQuery,
-        ctx: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, EngineError> {
-        let mut answers = self.answer_batch(std::slice::from_ref(query), &[ctx.copied()])?;
+    /// The query is traced under the thread's current trace context, if
+    /// any; engines record their per-phase child spans under it.
+    fn answer(&self, query: &PreparedQuery) -> Result<Vec<u8>, EngineError> {
+        let mut answers = self.answer_batch(std::slice::from_ref(query), &[trace::current()])?;
         answers
             .pop()
             .ok_or_else(|| EngineError::Backend("batch of one returned no answer".into()))
@@ -55,9 +51,11 @@ pub trait QueryEngine: Send + Sync {
     /// data pass (the DPF scan) amortize it across the batch (§5.1); others
     /// simply answer each query in turn.
     ///
-    /// `ctxs` carries one optional trace context per query, positionally.
-    /// Engines are lenient: a short (even empty) slice means the missing
-    /// queries are untraced, so callers without tracing pass `&[]`.
+    /// `ctxs` carries one optional trace context per query, positionally:
+    /// one batch carries many requests, so no single current context
+    /// fits. Engines are lenient: a short (even empty) slice means the
+    /// missing queries are untraced, so callers without tracing pass
+    /// `&[]`.
     fn answer_batch(
         &self,
         queries: &[PreparedQuery],

@@ -7,7 +7,7 @@ use crate::sharded::ShardedDeployment;
 use crate::traits::QueryEngine;
 use lightweb_dpf::{BitMatrix, DpfKey, DpfParams};
 use lightweb_pir::{KeywordMap, PirError, PirServer};
-use lightweb_telemetry::trace::{maybe_child, record_span_ctx, TraceContext};
+use lightweb_telemetry::trace::{self, record_span_ctx, TraceContext};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -101,11 +101,7 @@ impl TwoServerDpfEngine {
 
     /// Rebuild the sharded view from the monolithic store if stale, then
     /// answer through it on the pool.
-    fn answer_sharded(
-        &self,
-        key: &DpfKey,
-        ctx: Option<&TraceContext>,
-    ) -> Result<Vec<u8>, EngineError> {
+    fn answer_sharded(&self, key: &DpfKey) -> Result<Vec<u8>, EngineError> {
         let mut guard = self.sharded.lock();
         if self.sharded_dirty.swap(false, Ordering::SeqCst) || guard.is_none() {
             let entries: Vec<(u64, Vec<u8>)> = {
@@ -120,7 +116,7 @@ impl TwoServerDpfEngine {
             )?);
         }
         let dep = guard.as_ref().expect("just materialized");
-        dep.answer_with_pool_traced(key, &self.pool, ctx)
+        dep.answer_with_pool(key, &self.pool)
     }
 }
 
@@ -147,7 +143,9 @@ impl QueryEngine for TwoServerDpfEngine {
         ctxs: &[Option<TraceContext>],
     ) -> Result<Vec<Vec<u8>>, EngineError> {
         let keys = Self::expect_keys(queries)?;
-        let ctx_of = |i: usize| ctxs.get(i).and_then(|c| c.as_ref());
+        // Each query's own work runs with its context current, so the
+        // pool's partition spans land in the right request's trace.
+        let ctx_of = |i: usize| ctxs.get(i).copied().flatten();
         if self.prefix_bits > 0 {
             // §5.2: one front-end split + pooled shard scan per query. A
             // real deployment batches within each shard; this path models
@@ -156,9 +154,9 @@ impl QueryEngine for TwoServerDpfEngine {
                 .into_iter()
                 .enumerate()
                 .map(|(i, key)| {
-                    let span = maybe_child(ctx_of(i), "engine.two_server.answer");
-                    let span_ctx = span.as_ref().map(|s| s.ctx());
-                    self.answer_sharded(key, span_ctx.as_ref())
+                    let _ctx = trace::enter(ctx_of(i));
+                    let _span = trace::maybe_child("engine.two_server.answer");
+                    self.answer_sharded(key)
                 })
                 .collect();
         }
@@ -167,10 +165,9 @@ impl QueryEngine for TwoServerDpfEngine {
         // into its row.
         let mut matrix = BitMatrix::new(keys.len(), self.params.output_len());
         for (i, key) in keys.iter().enumerate() {
-            let eval = maybe_child(ctx_of(i), "engine.two_server.eval");
-            let eval_ctx = eval.as_ref().map(|s| s.ctx());
-            self.pool
-                .eval_full_into_traced(key, matrix.row_mut(i), eval_ctx.as_ref());
+            let _ctx = trace::enter(ctx_of(i));
+            let _eval = trace::maybe_child("engine.two_server.eval");
+            self.pool.eval_full_into(key, matrix.row_mut(i));
         }
         // The scan is one shared pass over the data (§5.1): mint a scan
         // span per traced query up front, time the pass once, and record
@@ -181,10 +178,10 @@ impl QueryEngine for TwoServerDpfEngine {
             .collect();
         let pir = self.pir.read();
         let start = Instant::now();
-        let answers = self
-            .pool
-            .scan_matrix_traced(&pir, &matrix, scan_ctxs.first())
-            .map_err(pir_error)?;
+        let answers = {
+            let _ctx = trace::enter(scan_ctxs.first().copied());
+            self.pool.scan_matrix(&pir, &matrix).map_err(pir_error)?
+        };
         let end = Instant::now();
         for ctx in &scan_ctxs {
             record_span_ctx(ctx, "engine.two_server.scan", start, end);

@@ -88,11 +88,11 @@ impl TwoServerPair {
         let query = client.query_slot(map.slot(key.as_bytes()));
         let a0 = {
             let q = self.e0.prepare(&query.key0.to_bytes()).unwrap();
-            self.e0.answer(&q, None).unwrap()
+            self.e0.answer(&q).unwrap()
         };
         let a1 = {
             let q = self.e1.prepare(&query.key1.to_bytes()).unwrap();
-            self.e1.answer(&q, None).unwrap()
+            self.e1.answer(&q).unwrap()
         };
         let combined = TwoServerClient::combine(&a0, &a1).unwrap();
         assert_eq!(combined.len(), BLOB_LEN);
@@ -122,7 +122,7 @@ fn lwe_get(engine: &SingleServerLweEngine, key: &str) -> Option<Vec<u8>> {
         payload.extend_from_slice(&v.to_be_bytes());
     }
     let prepared = engine.prepare(&payload).unwrap();
-    let raw = engine.answer(&prepared, None).unwrap();
+    let raw = engine.answer(&prepared).unwrap();
     let answer: Vec<u32> = raw
         .chunks_exact(4)
         .map(|c| u32::from_be_bytes(c.try_into().unwrap()))
@@ -143,7 +143,7 @@ fn enclave_get(engine: &EnclaveOramEngine, key: &str) -> Option<Vec<u8>> {
     payload.extend_from_slice(&sealed);
 
     let prepared = engine.prepare(&payload).unwrap();
-    let raw = engine.answer(&prepared, None).unwrap();
+    let raw = engine.answer(&prepared).unwrap();
     let rn: [u8; AEAD_NONCE_LEN] = raw[..AEAD_NONCE_LEN].try_into().unwrap();
     let plain = aead
         .open(&rn, b"zltp-enclave-response", &raw[AEAD_NONCE_LEN..])
@@ -254,11 +254,7 @@ fn batch_answers_equal_individual_answers() {
         let batched = pair.e0.answer_batch(&queries, &[]).unwrap();
         assert_eq!(batched.len(), queries.len());
         for (q, batch_answer) in queries.iter().zip(&batched) {
-            assert_eq!(
-                &pair.e0.answer(q, None).unwrap(),
-                batch_answer,
-                "{threads}t"
-            );
+            assert_eq!(&pair.e0.answer(q).unwrap(), batch_answer, "{threads}t");
         }
     }
 }
@@ -271,11 +267,11 @@ fn engines_reject_foreign_queries() {
     let enclave = enclave_engine();
 
     let keyword = PreparedQuery::Keyword(b"some.example/key".to_vec());
-    assert!(pair.e0.answer(&keyword, None).is_err());
-    assert!(lwe.answer(&keyword, None).is_err());
+    assert!(pair.e0.answer(&keyword).is_err());
+    assert!(lwe.answer(&keyword).is_err());
 
     let lwe_query = PreparedQuery::Lwe(vec![0u32; 8]);
-    assert!(enclave.answer(&lwe_query, None).is_err());
+    assert!(enclave.answer(&lwe_query).is_err());
 }
 
 /// Telemetry identity: names and request metrics are per-engine and stable

@@ -5,11 +5,17 @@
 //! pools, and §5.2 shards, operators also need "where did *this* request
 //! spend its time". This module provides that: a [`TraceContext`] — a
 //! 128-bit trace id plus 64-bit span/parent ids — created per ZLTP
-//! request, propagated across the wire, and threaded through every hop;
-//! [`TraceSpan`] RAII guards that record timed [`SpanRecord`]s; and a
-//! process-global [`TraceCollector`] that assembles finished spans into
-//! [`Trace`] trees, keeps a bounded ring of recent traces, and derives a
-//! slow-query log (top-K by root duration, with per-phase breakdown).
+//! request and propagated across the wire; [`TraceSpan`] RAII guards
+//! that record timed [`SpanRecord`]s; and a process-global
+//! [`TraceCollector`] that assembles finished spans into [`Trace`] trees,
+//! keeps a bounded ring of recent traces, and derives a slow-query log
+//! (top-K by root duration, with per-phase breakdown).
+//!
+//! Within a thread the context travels implicitly: an open [`TraceSpan`]
+//! is the thread's [`current`] context, so a layer opens its phase span
+//! with [`maybe_child`] instead of taking a context parameter. Work that
+//! hops threads reads [`current`] before the hop and [`enter`]s it on
+//! the other side.
 //!
 //! ## Lifecycle and ordering
 //!
@@ -31,7 +37,9 @@
 
 use crate::{quantile_from_buckets, BUCKETS};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -164,6 +172,64 @@ impl TraceContext {
 }
 
 // ---------------------------------------------------------------------
+// The current context.
+// ---------------------------------------------------------------------
+
+thread_local! {
+    /// This thread's context stack: each open span or [`enter`] guard
+    /// owns one entry, and the top entry is the current context. `None`
+    /// entries mark untraced work.
+    static CURRENT: RefCell<Vec<Option<TraceContext>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The calling thread's current trace context: the innermost open
+/// [`TraceSpan`] or [`enter`]ed context, or `None` when the work on this
+/// thread is not being traced.
+pub fn current() -> Option<TraceContext> {
+    CURRENT.with(|c| c.borrow().last().copied().flatten())
+}
+
+/// Make `ctx` the calling thread's current context until the guard
+/// drops. This is the handoff at a thread hop: read [`current`] before
+/// the hop and enter it on the other side. Entering `None` marks the
+/// work untraced, whatever was current before.
+pub fn enter(ctx: Option<TraceContext>) -> ContextGuard {
+    let depth = CURRENT.with(|c| {
+        let mut stack = c.borrow_mut();
+        stack.push(ctx);
+        stack.len() - 1
+    });
+    ContextGuard {
+        depth,
+        _not_send: PhantomData,
+    }
+}
+
+/// Restores the previous current context on drop; see [`enter`].
+///
+/// `!Send`, so it always restores on the thread that set it:
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(lightweb_telemetry::trace::enter(None));
+/// ```
+pub struct ContextGuard {
+    /// Stack depth to restore on drop.
+    depth: usize,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        // Truncate rather than pop: a guard dropped out of order takes
+        // any inner entries with it, so the context it was opened under
+        // comes back instead of a dangling inner one. `try_with` keeps a
+        // guard dropped during thread teardown from panicking.
+        let _ = CURRENT.try_with(|c| c.borrow_mut().truncate(self.depth));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Spans.
 // ---------------------------------------------------------------------
 
@@ -187,9 +253,9 @@ pub struct SpanRecord {
 }
 
 /// RAII trace span: reports a [`SpanRecord`] to the global collector on
-/// drop. Create the root with [`TraceSpan::root`], descendants with
-/// [`TraceSpan::child`], and pass [`TraceSpan::ctx`] to whatever work
-/// runs underneath.
+/// drop, and is the thread's [`current`] context while open. Create a
+/// fresh root with [`TraceSpan::root`] and explicit descendants with
+/// [`TraceSpan::child`].
 pub struct TraceSpan {
     ctx: TraceContext,
     name: &'static str,
@@ -197,6 +263,7 @@ pub struct TraceSpan {
     /// CPU/allocation attribution for this phase (no-op unless
     /// profiling is enabled — see [`crate::profile`]).
     _prof: crate::profile::Scope,
+    _current: ContextGuard,
 }
 
 impl TraceSpan {
@@ -210,6 +277,15 @@ impl TraceSpan {
         Self::with_ctx(parent.child(), name)
     }
 
+    /// Open a child of the current context, or the root of a fresh trace
+    /// when nothing is current.
+    pub fn child_or_root(name: &'static str) -> Self {
+        Self::with_ctx(
+            current().map_or_else(TraceContext::root, |c| c.child()),
+            name,
+        )
+    }
+
     /// Open a span whose identity was fixed elsewhere (e.g. received
     /// over the wire as a pre-assigned child context).
     pub fn with_ctx(ctx: TraceContext, name: &'static str) -> Self {
@@ -218,10 +294,11 @@ impl TraceSpan {
             name,
             start: Instant::now(),
             _prof: crate::profile::Scope::enter(name),
+            _current: enter(Some(ctx)),
         }
     }
 
-    /// This span's context — pass to children.
+    /// This span's context.
     pub fn ctx(&self) -> TraceContext {
         self.ctx
     }
@@ -234,11 +311,10 @@ impl Drop for TraceSpan {
     }
 }
 
-/// Open a child span under `parent` when tracing is active on this
-/// request, or no span at all: the idiom for code paths that take an
-/// `Option<&TraceContext>`.
-pub fn maybe_child(parent: Option<&TraceContext>, name: &'static str) -> Option<TraceSpan> {
-    parent.map(|p| TraceSpan::child(p, name))
+/// Open a child span of the current context when the work on this
+/// thread is traced, or no span at all: how a layer records its phase.
+pub fn maybe_child(name: &'static str) -> Option<TraceSpan> {
+    current().map(|p| TraceSpan::child(&p, name))
 }
 
 /// Record an externally-timed span as a **child** of `parent` (a fresh

@@ -3,6 +3,7 @@
 //! property that defeats the §1 fingerprinting attack.
 
 use lightweb::dpf::{gen, DpfParams};
+use lightweb::engine::ScanPool;
 use lightweb::pir::{PirServer, TwoServerClient};
 use lightweb::workload::fingerprint::{
     simulate_lightweb_flow, simulate_proxy_flow, synthetic_site, FlowObservation, NearestCentroid,
@@ -47,7 +48,9 @@ fn sharded_deployment_serves_a_synthetic_c4_shard() {
     for (path, slot, rec) in stored.iter().step_by(500) {
         let q = client.query_slot(*slot);
         let (a0, _) = dep0.answer(&q.key0).unwrap();
-        let a1 = dep1.answer_parallel(&q.key1).unwrap();
+        let a1 = dep1
+            .answer_with_pool(&q.key1, &ScanPool::new(dep1.shard_count()))
+            .unwrap();
         assert_eq!(
             &TwoServerClient::combine(&a0, &a1).unwrap(),
             rec,
